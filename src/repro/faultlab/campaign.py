@@ -378,9 +378,11 @@ def run_scenario(
             )
             _attach_insight(flight_dir, name, "insight.md", dump)
         if trace_dir is not None and telemetry.tracer is not None:
-            write_trace_jsonl(
+            trace_digest = write_trace_jsonl(
                 _artifact(trace_dir, name, "trace.jsonl"), telemetry.tracer
             )
+        else:
+            trace_digest = telemetry.trace_digest()
         if metrics_dir is not None:
             write_metrics_json(
                 _artifact(metrics_dir, name, "metrics.json"), telemetry
@@ -404,7 +406,7 @@ def run_scenario(
         # their digests) are byte-identical to the pre-telemetry code.
         result["telemetry"] = {
             "metrics_digest": telemetry.metrics_digest(),
-            "trace_digest": telemetry.trace_digest(),
+            "trace_digest": trace_digest,
             "trace_recorded": (
                 telemetry.tracer.recorded if telemetry.tracer is not None else 0
             ),

@@ -22,7 +22,6 @@ from typing import List, Optional
 
 from . import Telemetry, write_chrome_trace
 from .export import (
-    file_sha256,
     read_trace_jsonl,
     summarize_records,
     write_metrics_json,
@@ -66,7 +65,7 @@ def _record(args: argparse.Namespace) -> int:
         run_scenario(spec, seed=args.seed, telemetry=telemetry)
 
     trace_path = os.path.join(args.out, f"{scenario}.trace.jsonl")
-    write_trace_jsonl(trace_path, telemetry.tracer)
+    digest = write_trace_jsonl(trace_path, telemetry.tracer)
     metrics_path = os.path.join(args.out, f"{scenario}.metrics.json")
     write_metrics_json(metrics_path, telemetry)
     print(f"wrote {trace_path}")
@@ -77,7 +76,7 @@ def _record(args: argparse.Namespace) -> int:
             chrome_path, telemetry.tracer.records, telemetry.tracer.subjects
         )
         print(f"wrote {chrome_path} (load it at https://ui.perfetto.dev)")
-    print(f"trace sha256:   {file_sha256(trace_path)}")
+    print(f"trace sha256:   {digest}")
     print(f"metrics digest: {telemetry.metrics_digest()}")
     return 0
 

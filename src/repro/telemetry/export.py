@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, Iterator, List, Tuple
+import re
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..ioutil import atomic_open, atomic_write_text
 from .events import KIND_NAMES, kind_name
@@ -35,38 +37,116 @@ def _canonical(obj: object) -> str:
 
 
 # ----------------------------------------------------------------------
+# Record codec
+# ----------------------------------------------------------------------
+#: One trace record as canonical JSON.  Record fields are integer-only
+#: (``int`` or an ``IntEnum`` such as ``MessageType``; never ``bool`` or
+#: ``float``), and json writes int subclasses through ``int.__repr__``, so
+#: this gives the bytes :func:`_canonical` gives for the same dict.
+RECORD_FORMAT = '{"a":%d,"b":%d,"k":%d,"s":%d,"t":%d}'
+
+_INT = "(-?(?:0|[1-9][0-9]*))"
+
+#: A record line exactly as :data:`RECORD_FORMAT` writes it (json's integer
+#: grammar, ASCII digits).  Every other line is left to ``json.loads``.
+_RECORD_LINE = re.compile(
+    r'\{"a":%s,"b":%s,"k":%s,"s":%s,"t":%s\}\n?\Z' % ((_INT,) * 5)
+)
+
+#: Records encoded per chunk: bounds the memory of one write or digest.
+_CHUNK_RECORDS = 4096
+
+
+def encode_record(record: TraceRecord) -> str:
+    """The canonical JSON line of one record (no trailing newline)."""
+    time_fs, kind, subject, a, b = record
+    return RECORD_FORMAT % (a, b, kind, subject, time_fs)
+
+
+def parse_record(line: str) -> Optional[TraceRecord]:
+    """The record of a canonical record line; None for any other line."""
+    match = _RECORD_LINE.match(line)
+    if match is None:
+        return None
+    a, b, kind, subject, time_fs = match.groups()
+    return (int(time_fs), int(kind), int(subject), int(a), int(b))
+
+
+def read_artifact(
+    path: str,
+) -> Tuple[Dict[str, object], List[TraceRecord], List[Tuple[int, Dict[str, object]]]]:
+    """One pass over a trace or flight file: ``(header, records, tagged)``.
+
+    The first line must be a ``"record"``-tagged header.  ``tagged`` holds
+    ``(line index, object)`` for every later ``"record"``-tagged line.
+    Canonical record lines go through :func:`parse_record`; any other
+    line goes through ``json.loads``, and malformed lines raise.
+    """
+    header: Dict[str, object] = {}
+    records: List[TraceRecord] = []
+    tagged: List[Tuple[int, Dict[str, object]]] = []
+    append = records.append
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle):
+            if lineno:
+                record = parse_record(line)
+                if record is not None:
+                    append(record)
+                    continue
+            obj = json.loads(line)
+            if lineno == 0:
+                if "record" not in obj:
+                    raise ValueError(f"{path}: first line is not a header")
+                header = obj
+            elif "record" in obj:
+                tagged.append((lineno, obj))
+            else:
+                append((obj["t"], obj["k"], obj["s"], obj["a"], obj["b"]))
+    return header, records, tagged
+
+
+# ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def trace_lines(tracer: TraceRecorder) -> Iterator[str]:
-    """The canonical JSONL lines of a recorder (header first)."""
-    yield _canonical(
-        {
-            "record": TRACE_HEADER,
-            "version": 1,
-            "capacity": tracer.capacity,
-            "recorded": tracer.recorded,
-            "dropped": tracer.dropped,
-            "kinds": {str(code): name for code, name in sorted(KIND_NAMES.items())},
-            "subjects": tracer.subjects,
-        }
-    )
-    for time_fs, kind, subject, a, b in tracer.records:
-        yield _canonical({"a": a, "b": b, "k": kind, "s": subject, "t": time_fs})
+def trace_chunks(tracer: TraceRecorder) -> Iterator[bytes]:
+    """The canonical JSONL bytes of a recorder, header first, in chunks."""
+    header = {
+        "record": TRACE_HEADER,
+        "version": 1,
+        "capacity": tracer.capacity,
+        "recorded": tracer.recorded,
+        "dropped": tracer.dropped,
+        "kinds": {str(code): name for code, name in sorted(KIND_NAMES.items())},
+        "subjects": tracer.subjects,
+    }
+    yield (_canonical(header) + "\n").encode("utf-8")
+    records = iter(tracer.records)
+    while True:
+        chunk = list(islice(records, _CHUNK_RECORDS))
+        if not chunk:
+            return
+        yield ("\n".join(map(encode_record, chunk)) + "\n").encode("ascii")
 
 
-def write_trace_jsonl(path: str, tracer: TraceRecorder) -> None:
-    """Write the recorder to ``path`` as canonical JSONL (atomically)."""
-    with atomic_open(path) as handle:
-        for line in trace_lines(tracer):
-            handle.write(line + "\n")
+def write_trace_jsonl(path: str, tracer: TraceRecorder) -> str:
+    """Write the recorder to ``path`` as canonical JSONL (atomically).
+
+    Returns the sha256 of the bytes written, which is
+    :func:`trace_digest` of the recorder: each record is encoded once.
+    """
+    h = hashlib.sha256()
+    with atomic_open(path, binary=True) as handle:
+        for chunk in trace_chunks(tracer):
+            handle.write(chunk)
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def trace_digest(tracer: TraceRecorder) -> str:
     """sha256 over the exact JSONL bytes :func:`write_trace_jsonl` writes."""
     h = hashlib.sha256()
-    for line in trace_lines(tracer):
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
+    for chunk in trace_chunks(tracer):
+        h.update(chunk)
     return h.hexdigest()
 
 
@@ -80,21 +160,7 @@ def read_trace_jsonl(
     non-record object lines (metrics, context) are ignored here — use
     :func:`repro.telemetry.flight.load_flight` for the full structure.
     """
-    header: Dict[str, object] = {}
-    records: List[TraceRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            obj = json.loads(line)
-            if lineno == 0:
-                if "record" not in obj:
-                    raise ValueError(f"{path}: first line is not a header")
-                header = obj
-                continue
-            if "record" in obj:
-                continue
-            records.append(
-                (obj["t"], obj["k"], obj["s"], obj["a"], obj["b"])
-            )
+    header, records, _tagged = read_artifact(path)
     return header, records
 
 

@@ -17,10 +17,10 @@ the exact file bytes, which the tests assert.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..ioutil import atomic_write_bytes
+from .export import _canonical, encode_record, read_artifact
 from .trace import TraceRecord
 
 FLIGHT_HEADER = "flight-header"
@@ -30,10 +30,6 @@ FLIGHT_CONTEXT = "flight-context"
 
 #: Default number of trailing trace records carried in an artifact.
 DEFAULT_FLIGHT_TAIL = 4096
-
-
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class FlightDump:
@@ -61,10 +57,7 @@ class FlightDump:
         out.append(
             _canonical({"record": FLIGHT_TRACE, "subjects": self.subjects})
         )
-        for time_fs, kind, subject, a, b in self.records:
-            out.append(
-                _canonical({"a": a, "b": b, "k": kind, "s": subject, "t": time_fs})
-            )
+        out.extend(map(encode_record, self.records))
         out.append(_canonical({"metrics": self.metrics, "record": FLIGHT_METRICS}))
         out.append(_canonical({"context": self.context, "record": FLIGHT_CONTEXT}))
         return out
@@ -140,31 +133,34 @@ def load_flight(path: str) -> FlightDump:
     ``load_flight(p).dump_bytes()`` equals the bytes of ``p`` — the
     round-trip contract the tier of exporter tests relies on.
     """
-    header: Dict[str, object] = {}
+    return flight_from_artifact(path, *read_artifact(path))
+
+
+def flight_from_artifact(
+    path: str,
+    header: Dict[str, object],
+    records: List[TraceRecord],
+    tagged: List[Tuple[int, Dict[str, object]]],
+) -> FlightDump:
+    """Assemble a :class:`FlightDump` from a parsed artifact
+    (:func:`repro.telemetry.export.read_artifact`)."""
+    if header.get("record") != FLIGHT_HEADER:
+        raise ValueError(f"{path}: not a flight artifact")
     subjects: List[str] = []
-    records: List[TraceRecord] = []
     metrics: Dict[str, object] = {}
     context: Dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            obj = json.loads(line)
-            tag = obj.get("record")
-            if lineno == 0:
-                if tag != FLIGHT_HEADER:
-                    raise ValueError(f"{path}: not a flight artifact")
-                header = {k: v for k, v in obj.items() if k != "record"}
-            elif tag == FLIGHT_TRACE:
-                subjects = list(obj["subjects"])
-            elif tag == FLIGHT_METRICS:
-                metrics = obj["metrics"]
-            elif tag == FLIGHT_CONTEXT:
-                context = obj["context"]
-            elif tag is None:
-                records.append((obj["t"], obj["k"], obj["s"], obj["a"], obj["b"]))
-            else:
-                raise ValueError(f"{path}:{lineno + 1}: unknown record {tag!r}")
+    for lineno, obj in tagged:
+        tag = obj["record"]
+        if tag == FLIGHT_TRACE:
+            subjects = list(obj["subjects"])
+        elif tag == FLIGHT_METRICS:
+            metrics = obj["metrics"]
+        elif tag == FLIGHT_CONTEXT:
+            context = obj["context"]
+        else:
+            raise ValueError(f"{path}:{lineno + 1}: unknown record {tag!r}")
     return FlightDump(
-        header=header,
+        header={k: v for k, v in header.items() if k != "record"},
         subjects=subjects,
         records=records,
         metrics=metrics,

@@ -13,11 +13,11 @@ itself.
 from __future__ import annotations
 
 import bisect
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .events import kind_name
-from .flight import FLIGHT_HEADER, FlightDump, load_flight
+from .export import read_artifact
+from .flight import FLIGHT_HEADER, FlightDump, flight_from_artifact
 from .trace import TraceRecord, TraceRecorder
 
 
@@ -79,15 +79,11 @@ class TraceIndex:
 
     @classmethod
     def load(cls, path: str) -> "TraceIndex":
-        """Load a trace JSONL *or* flight artifact, sniffing the header."""
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-        tag = json.loads(first).get("record") if first.strip() else None
-        if tag == FLIGHT_HEADER:
-            return cls.from_flight(load_flight(path))
-        from .export import read_trace_jsonl
-
-        header, records = read_trace_jsonl(path)
+        """Load a trace JSONL *or* flight artifact in one pass, sniffing
+        the header the reader parsed."""
+        header, records, tagged = read_artifact(path)
+        if header.get("record") == FLIGHT_HEADER:
+            return cls.from_flight(flight_from_artifact(path, header, records, tagged))
         return cls(records, list(header.get("subjects", [])), header=header)
 
     # ------------------------------------------------------------------
