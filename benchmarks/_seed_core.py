@@ -13,6 +13,10 @@ host.  Everything here is a faithful copy of the seed revision:
 * ``seed_transmit_now`` / ``seed_arrive`` / ``seed_process`` — the DTP port
   fast path with per-message ``Block66`` / ``DtpMessage`` object round-trips
   and a dispatch dict rebuilt per received message;
+* ``seed_schedule_beacon_timeout`` / ``seed_beacon_timeout`` — the beacon
+  timer re-armed through cancellable ``schedule_at`` events, with its
+  transmissions queued through ``_schedule_transmit`` (``seed_link_down``
+  adds back the cancel of that event);
 * ``seed_reconstruct_counter`` — the ``min(key=lambda...)`` form.
 
 ``seed_implementation()`` patches them all in, so a whole experiment can
@@ -266,6 +270,37 @@ def seed_process(self, bits56):
     handler(message.payload, now)
 
 
+def seed_schedule_beacon_timeout(self):
+    tick = self.osc.ticks_at(self.sim.now)
+    when = self.osc.time_of_tick(tick + self.config.beacon_interval_ticks)
+    self._beacon_event = self.sim.schedule_at(when, self._beacon_timeout)
+
+
+def seed_beacon_timeout(self):
+    from repro.dtp.port import PortState
+
+    if self.state is not PortState.SYNCHRONIZED:
+        return
+    self._schedule_transmit(dtpmsg.MessageType.BEACON, self._beacon_payload)
+    self._beacons_since_msb += 1
+    if self._beacons_since_msb >= self.config.msb_interval_beacons:
+        self._beacons_since_msb = 0
+        self._schedule_transmit(
+            dtpmsg.MessageType.BEACON_MSB,
+            lambda t: dtpmsg.counter_high(self._tx_counter(t)),
+        )
+    self._schedule_beacon_timeout()
+
+
+_current_link_down = DtpPort.link_down
+
+
+def seed_link_down(self):
+    _current_link_down(self)
+    self.sim.cancel(getattr(self, "_beacon_event", None))
+    self._beacon_event = None
+
+
 @contextmanager
 def seed_implementation():
     """Patch the seed hot-path code back in, for apples-to-apples timing.
@@ -285,6 +320,9 @@ def seed_implementation():
         "_transmit_now": DtpPort._transmit_now,
         "_arrive": DtpPort._arrive,
         "_process": DtpPort._process,
+        "_schedule_beacon_timeout": DtpPort._schedule_beacon_timeout,
+        "_beacon_timeout": DtpPort._beacon_timeout,
+        "link_down": DtpPort.link_down,
     }
     fig6_dtp.Simulator = SeedSimulator
     Oscillator._segment_for = seed_segment_for
@@ -297,6 +335,9 @@ def seed_implementation():
     DtpPort._transmit_now = seed_transmit_now
     DtpPort._arrive = seed_arrive
     DtpPort._process = seed_process
+    DtpPort._schedule_beacon_timeout = seed_schedule_beacon_timeout
+    DtpPort._beacon_timeout = seed_beacon_timeout
+    DtpPort.link_down = seed_link_down
     try:
         yield
     finally:
@@ -311,3 +352,6 @@ def seed_implementation():
         DtpPort._transmit_now = saved["_transmit_now"]
         DtpPort._arrive = saved["_arrive"]
         DtpPort._process = saved["_process"]
+        DtpPort._schedule_beacon_timeout = saved["_schedule_beacon_timeout"]
+        DtpPort._beacon_timeout = saved["_beacon_timeout"]
+        DtpPort.link_down = saved["link_down"]

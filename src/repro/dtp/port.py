@@ -61,6 +61,17 @@ from ..telemetry.registry import Counter as _StatCounter
 from . import messages as dtpmsg
 from .device import DtpDevice
 
+_BEACON = dtpmsg.MessageType.BEACON
+_BEACON_MSB = dtpmsg.MessageType.BEACON_MSB
+_TYPE_TABLE = dtpmsg.TYPE_TABLE
+_SHIFTED_TYPE = dtpmsg.SHIFTED_TYPE
+_PAYLOAD_BITS = dtpmsg.PAYLOAD_BITS
+_PAYLOAD_MASK = dtpmsg.PAYLOAD_MASK
+_LOW_BITS = dtpmsg.COUNTER_LOW_BITS
+_LOW_MASK = dtpmsg.COUNTER_LOW_MASK
+_WRAP = 1 << _LOW_BITS
+_HALF_WRAP = _WRAP >> 1
+
 #: Paper Section 3.3: alpha = 3 keeps the measured OWD at or below the true
 #: delay so the global counter never runs faster than the fastest clock.
 DEFAULT_ALPHA = 3
@@ -316,7 +327,10 @@ class DtpPort:
         #: None).  Unsupervised runs pay one ``is not None`` test at T2,
         #: nothing else.
         self._linkhealth = None
-        self._beacon_event: Optional[Event] = None
+        #: Beacon-timeout generation.  Each timeout is posted carrying the
+        #: generation it was armed under; ``link_down`` bumps it, which
+        #: retires the pending timeout without a heap cancel.
+        self._beacon_gen = 0
         self._init_retry_event: Optional[Event] = None
         #: Pipeline depths, read once: the latency config is immutable
         #: after port construction (PhyLatencyConfig is a plain dataclass
@@ -385,9 +399,8 @@ class DtpPort:
         if self._tracer is not None:
             self._tracer.record(self.sim._now, EV_PORT_STATE, self._sid, STATE_DOWN)
         self.d = None
-        self.sim.cancel(self._beacon_event)
+        self._beacon_gen += 1
         self.sim.cancel(self._init_retry_event)
-        self._beacon_event = None
         self._init_retry_event = None
 
     def _send_init(self) -> None:
@@ -431,8 +444,8 @@ class DtpPort:
                 self._tracer.record(now, EV_TX_BLOCKED, self._sid, mtype)
             return
         payload = payload_builder(now)
-        bits56 = dtpmsg.SHIFTED_TYPE[mtype] | payload
-        self.stats.count_sent(mtype)
+        bits56 = _SHIFTED_TYPE[mtype] | payload
+        self.stats._sent[_MTYPE_NAME[mtype]].value += 1
         if self._tracer is not None:
             self._tracer.record(now, EV_TX, self._sid, mtype, payload)
         # Inlined tx_exit_time/advance_ticks (hot path: one call per
@@ -498,19 +511,26 @@ class DtpPort:
     def _process(self, bits56: int) -> None:
         if self.state is PortState.DOWN:
             return
-        try:
-            mtype, payload = dtpmsg.decode_type_payload(bits56)
-        except dtpmsg.MessageError:
+        now = self.sim._now
+        # ``decode_type_payload`` inlined: ``bits56`` is masked to 56 bits
+        # by ``_arrive``, so only the two unassigned type codes can fail.
+        mtype = _TYPE_TABLE[bits56 >> _PAYLOAD_BITS]
+        if mtype is None:
             self.stats.rejected_undecodable += 1
             if self._tracer is not None:
-                self._tracer.record(
-                    self.sim._now, EV_REJECT, self._sid, REJECT_UNDECODABLE
-                )
+                self._tracer.record(now, EV_REJECT, self._sid, REJECT_UNDECODABLE)
             return
-        self.stats.count_received(mtype)
+        payload = bits56 & _PAYLOAD_MASK
+        if mtype is _BEACON:
+            self.stats._received["BEACON"].value += 1
+            if self._tracer is not None:
+                self._tracer.record(now, EV_RX, self._sid, mtype, payload)
+            self._on_beacon(payload, now)
+            return
+        self.stats._received[_MTYPE_NAME[mtype]].value += 1
         if self._tracer is not None:
-            self._tracer.record(self.sim._now, EV_RX, self._sid, mtype, payload)
-        self._handlers[mtype](payload, self.sim._now)
+            self._tracer.record(now, EV_RX, self._sid, mtype, payload)
+        self._handlers[mtype](payload, now)
 
     # ------------------------------------------------------------------
     # Protocol transitions
@@ -540,47 +560,98 @@ class DtpPort:
             self._linkhealth.on_synchronized(self)
 
     def _schedule_beacon_timeout(self) -> None:
-        tick = self.osc.ticks_at(self.sim.now)
-        when = self.osc.time_of_tick(tick + self.config.beacon_interval_ticks)
-        self._beacon_event = self.sim.schedule_at(when, self._beacon_timeout)
+        osc = self.osc
+        tick = osc.ticks_at(self.sim._now)
+        self.sim.post_at(
+            osc.time_of_tick(tick + self.config.beacon_interval_ticks),
+            self._beacon_timeout,
+            self._beacon_gen,
+        )
 
-    def _beacon_timeout(self) -> None:
-        """T3: send (BEACON, gc); occasionally a BEACON_MSB too."""
-        if self.state is not PortState.SYNCHRONIZED:
+    def _beacon_timeout(self, gen: int) -> None:
+        """T3: send (BEACON, gc); occasionally a BEACON_MSB too.
+
+        ``_schedule_transmit`` (twice) and ``_schedule_beacon_timeout``
+        inlined: one ``ticks_at`` serves both TX slots and the re-arm, and
+        the three posts draw their sequence numbers in the same order.
+        """
+        if gen != self._beacon_gen or self.state is not PortState.SYNCHRONIZED:
             return
         fastpath = self._fastpath
         if fastpath is not None and fastpath.on_beacon_timeout(self):
             return  # direction promoted: the coordinator owns this beacon
-        self._schedule_transmit(dtpmsg.MessageType.BEACON, self._beacon_payload)
-        self._beacons_since_msb += 1
-        if self._beacons_since_msb >= self.config.msb_interval_beacons:
-            self._beacons_since_msb = 0
-            self._schedule_transmit(
-                dtpmsg.MessageType.BEACON_MSB,
-                lambda t: dtpmsg.counter_high(self._tx_counter(t)),
+        sim = self.sim
+        osc = self.osc
+        traffic = self.traffic
+        tick = osc.ticks_at(sim._now)
+        last = self._last_tx_slot
+        slot = traffic.next_idle_tick(tick + 1 if tick > last else last + 1)
+        sim.post_at(
+            osc.time_of_tick(slot), self._transmit_now, _BEACON, self._beacon_payload
+        )
+        config = self.config
+        since_msb = self._beacons_since_msb + 1
+        if since_msb >= config.msb_interval_beacons:
+            since_msb = 0
+            slot = traffic.next_idle_tick(tick + 1 if tick > slot else slot + 1)
+            sim.post_at(
+                osc.time_of_tick(slot), self._transmit_now, _BEACON_MSB,
+                self._msb_payload,
             )
-        self._schedule_beacon_timeout()
+        self._last_tx_slot = slot
+        self._beacons_since_msb = since_msb
+        sim.post_at(
+            osc.time_of_tick(tick + config.beacon_interval_ticks),
+            self._beacon_timeout,
+            gen,
+        )
 
     def _tx_counter(self, t_fs: int) -> int:
         """The counter value beacons carry: the device's global counter."""
         return self.device.global_counter(t_fs)
 
     def _beacon_payload(self, t_fs: int) -> int:
-        counter = self._tx_counter(t_fs)
+        device = self.device
+        gc = device.gc
+        if (
+            type(gc) is TickClock
+            and type(device) is DtpDevice
+            and "_tx_counter" not in self.__dict__
+        ):
+            # _tx_counter -> global_counter -> counter_at, inlined.
+            counter = gc.increment * gc.oscillator.ticks_at(t_fs) + gc.offset
+        else:
+            counter = self._tx_counter(t_fs)
         if self.config.parity:
             return dtpmsg.payload_with_parity(counter)
-        return counter & dtpmsg.COUNTER_LOW_MASK
+        return counter & _LOW_MASK
+
+    def _msb_payload(self, t_fs: int) -> int:
+        return dtpmsg.counter_high(self._tx_counter(t_fs))
 
     def _on_beacon(self, payload: int, now: int) -> None:
-        """T4: ``lc <- max(lc, c + d)`` with Section 3.2 fault filtering."""
+        """T4: ``lc <- max(lc, c + d)`` with Section 3.2 fault filtering.
+
+        With a plain :class:`TickClock` the counter reads, the wrap
+        reconstruction and the max-adjust are inlined on one ``ticks_at``;
+        any other clock (spanning-tree followers) goes through its methods.
+        """
         if self.state is not PortState.SYNCHRONIZED or self.d is None:
             return
         if self.peer_faulty:
             return
-        lc_now = self.lc.counter_at(now)
+        lc = self.lc
+        plain = type(lc) is TickClock
+        if plain:
+            osc = lc.oscillator
+            ticks = osc.ticks_at(now)
+            lc_now = lc.increment * ticks + lc.offset
+        else:
+            lc_now = lc.counter_at(now)
+        stats = self.stats
         if self.config.parity:
             if not dtpmsg.check_parity(payload):
-                self.stats.rejected_parity += 1
+                stats.rejected_parity += 1
                 if self._tracer is not None:
                     self._tracer.record(now, EV_REJECT, self._sid, REJECT_PARITY)
                 return
@@ -589,34 +660,58 @@ class DtpPort:
                 low, lc_now, bits=dtpmsg.PARITY_PAYLOAD_BITS
             )
         else:
-            remote = dtpmsg.reconstruct_counter(payload, lc_now)
+            # reconstruct_counter, inlined.
+            remote = ((lc_now >> _LOW_BITS) << _LOW_BITS) + payload
+            wrap = remote - lc_now
+            if wrap >= _HALF_WRAP:
+                remote -= _WRAP
+            elif wrap < -_HALF_WRAP:
+                remote += _WRAP
         candidate = remote + self.d
         # Plausibility is judged against the free-running counter: a
         # stalled follower (spanning-tree mode) legitimately lags its
         # beacons, and must not reject its own catch-up.
-        delta = candidate - self.lc.reference_counter_at(now)
-        self.stats.beacons_in_window += 1
-        if abs(delta) > self._reject_threshold:
-            self.stats.rejected_out_of_range += 1
-            self.stats.rejects_in_window += 1
+        delta = candidate - (lc_now if plain else lc.reference_counter_at(now))
+        stats.beacons_in_window += 1
+        if delta > self._reject_threshold or delta < -self._reject_threshold:
+            stats._rejected["out_of_range"].value += 1
+            stats.rejects_in_window += 1
             if self._tracer is not None:
                 self._tracer.record(now, EV_REJECT, self._sid, REJECT_RANGE, delta)
-            self._fault_window_tick()
-            return
-        if self.lc.adjust_to_max(now, candidate):
-            self.stats.jumps += 1
-            self.stats.jumps_in_window += 1
-            if self._tracer is not None:
-                self._tracer.record(
-                    now, EV_JUMP, self._sid, delta, candidate - lc_now
-                )
-            self.device.on_local_jump(self, now)
-        self._fault_window_tick()
+        else:
+            if plain:
+                jumped = candidate > lc_now
+                if jumped:
+                    lc.offset += candidate - lc_now
+                    lc.adjustments += 1
+            else:
+                jumped = lc.adjust_to_max(now, candidate)
+            if jumped:
+                stats._jumps.value += 1
+                stats.jumps_in_window += 1
+                if self._tracer is not None:
+                    self._tracer.record(
+                        now, EV_JUMP, self._sid, delta, candidate - lc_now
+                    )
+                device = self.device
+                gc = device.gc
+                if plain and type(gc) is TickClock and type(device) is DtpDevice:
+                    # device.on_local_jump -> gc.adjust_to_max, inlined; the
+                    # new lc reads exactly ``candidate``.
+                    if gc.oscillator is not osc:
+                        ticks = gc.oscillator.ticks_at(now)
+                    gc_now = gc.increment * ticks + gc.offset
+                    if candidate > gc_now:
+                        gc.offset += candidate - gc_now
+                        gc.adjustments += 1
+                else:
+                    device.on_local_jump(self, now)
+        if stats.beacons_in_window >= self.config.fault_window_beacons:
+            self._roll_fault_window()
 
-    def _fault_window_tick(self) -> None:
+    def _roll_fault_window(self) -> None:
+        """Close a full Section 3.2 window: judge the peer, then reset."""
         cfg = self.config
-        if self.stats.beacons_in_window < cfg.fault_window_beacons:
-            return
         jumps = self.stats.jumps_in_window
         rejects = self.stats.rejects_in_window
         self.stats.beacons_in_window = 0

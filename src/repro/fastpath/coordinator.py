@@ -3,10 +3,16 @@
 The coordinator advances healthy DTP directions through their steady-state
 beacon cycle without touching the engine heap.  Each scalar beacon chain
 
-    _beacon_timeout -> _transmit_now -> _arrive -> _process
+    _beacon_timeout(gen) -> _transmit_now -> _arrive -> _process
 
-becomes four *virtual* events (PLAN, CAPTURE, ARRIVE, APPLY) held in the
-coordinator's own queue.  :meth:`FastpathCoordinator.run_merged` — the
+(the timeout re-arms itself with a fire-and-forget post stamped with the
+port's beacon generation; ``link_down`` retires it by bumping the
+generation) becomes four *virtual* events (PLAN, CAPTURE, ARRIVE, APPLY)
+held in the coordinator's own queue.  The scalar chain stays four events
+because ``_process`` must draw its sequence number at the arrival
+instant: a transmit on another of the receiver's ports, posted before
+that arrival for the same oscillator edge, has to run first and read
+``gc`` before the beacon can make it jump (see docs/SIMULATION.md).  :meth:`FastpathCoordinator.run_merged` — the
 loop :class:`~repro.sim.engine.MacroTickSimulator` delegates to — merges
 that queue with the engine heap by ``(time, seq)`` with all four stage
 bodies inlined, so a steady-state beacon interval costs a handful of
@@ -33,6 +39,9 @@ dispatches through the full port machinery.
 * Anything irregular demotes the direction: pending virtual events are
   re-materialized as real heap events at their original times and the
   scalar path finishes the chain (``link_down``, a tripped fault window).
+  A pending PLAN becomes a ``_beacon_timeout`` post stamped with the
+  sender's current generation, so a demotion from ``link_down`` is
+  retired by that same call's generation bump.
   Fault-armed devices never promote at all (see ``eligibility``).
 
 The stage bodies exist twice: inlined in :meth:`run_merged` (the hot
@@ -205,7 +214,6 @@ class FastpathCoordinator:
             return False
         ds = _Direction(port)
         self._dirs[port] = ds
-        port._beacon_event = None
         self.promotions += 1
         self._plan_stage(ds, self.sim._now)
         return True
@@ -240,7 +248,10 @@ class FastpathCoordinator:
         pending.sort(key=lambda e: e[1])
         for when, _seq, stage, _ds, payload, _epoch in pending:
             if stage == PLAN:
-                p._beacon_event = sim.schedule_at(when, p._beacon_timeout)
+                # Stamped with the sender's current beacon generation, as
+                # the scalar re-arm would be; a demotion from ``link_down``
+                # bumps the generation right after, retiring it.
+                sim.post_at(when, p._beacon_timeout, p._beacon_gen)
             elif stage == CAP_B:
                 sim.post_at(
                     when,
@@ -253,7 +264,7 @@ class FastpathCoordinator:
                     when,
                     p._transmit_now,
                     dtpmsg.MessageType.BEACON_MSB,
-                    lambda t, _p=p: dtpmsg.counter_high(_p._tx_counter(t)),
+                    p._msb_payload,
                 )
             elif stage == ARR_B:
                 sim.post_at(
@@ -366,7 +377,7 @@ class FastpathCoordinator:
             ds = vtop[3]
 
             # --- APPLY (BEACON): T4 with Section 3.2 filtering ---------
-            # Mirrors _process + _on_beacon + _fault_window_tick; keep in
+            # Mirrors _process + _on_beacon + _roll_fault_window; keep in
             # sync with _apply_stage below.
             if stage == APP_B:
                 ds.recv_b.value += 1
@@ -579,7 +590,7 @@ class FastpathCoordinator:
         return when
 
     def _roll_fault_window(self, ds: _Direction) -> None:
-        """Mirror ``_fault_window_tick``'s window roll; demote on a trip."""
+        """Mirror ``DtpPort._roll_fault_window``; demote on a trip."""
         q = ds.receiver
         stats = ds.stats_q
         jumps = stats.jumps_in_window

@@ -303,11 +303,14 @@ def _scenario_section(
     lines = [f"## {scenario}", ""]
     spec = _builtin_spec(scenario)
 
+    # The flight file is parsed once: it feeds the index when there is
+    # no trace file, and the violation post-mortem below.
+    flight = load_flight(artifacts["flight"]) if "flight" in artifacts else None
     index: Optional[TraceIndex] = None
     if "trace" in artifacts:
         index = TraceIndex.load(artifacts["trace"])
-    elif "flight" in artifacts:
-        index = TraceIndex.from_flight(load_flight(artifacts["flight"]))
+    elif flight is not None:
+        index = TraceIndex.from_flight(flight)
 
     span_fs = 0
     if index is not None:
@@ -371,13 +374,13 @@ def _scenario_section(
                     lines.append("```")
                     lines.append("")
 
-    if "flight" in artifacts:
+    if flight is not None:
         lines.append("### Violation post-mortem")
         lines.append("")
         lines.append("```")
         lines.extend(
             explain_flight(
-                load_flight(artifacts["flight"]),
+                flight,
                 increment=increment,
                 period_fs=period_fs,
             )

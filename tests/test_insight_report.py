@@ -118,3 +118,41 @@ def test_metrics_section_cadence_math():
     assert "beacons sent: 200 across 2 directions" in text
     assert "~100/direction observed vs ~100 expected" in text
     assert "-> plausible" in text
+
+
+#: sha256 of the report for a flight-only two-faced campaign (quick
+#: profile, base seed 0), recorded when the flight file was still parsed
+#: twice; sharing the parse must not change a byte.
+FLIGHT_ONLY_REPORT_SHA256 = (
+    "deb90222f3d4c7db6dd1f929d1de7755cc5dc32cce65424a750dcf075530d13a"
+)
+
+
+def test_flight_only_scenario_parses_flight_once(tmp_path, monkeypatch):
+    import hashlib
+
+    from repro.insight import report as report_module
+
+    run_campaign(
+        builtin_specs(["two-faced"], quick=True),
+        base_seed=0,
+        jobs=1,
+        metrics_dir=str(tmp_path),
+        flight_dir=str(tmp_path),
+    )
+    assert set(scan_campaign_dir(str(tmp_path))["two-faced"]) == {
+        "metrics", "prom", "flight",
+    }
+    loaded = []
+    real_load = report_module.load_flight
+
+    def counting_load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(report_module, "load_flight", counting_load)
+    report = generate_insight_report(str(tmp_path))
+    assert len(loaded) == 1
+    assert "### Trace" in report and "### Violation post-mortem" in report
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == FLIGHT_ONLY_REPORT_SHA256
